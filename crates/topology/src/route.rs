@@ -7,15 +7,66 @@
 //! prototype (via SPAIN, §6). Valiant load balancing is expressed on top
 //! of this table by routing to a chosen intermediate switch first.
 //!
-//! [`RouteTable`] stores, for every destination node, the set of
-//! shortest-path next hops at every node — the ECMP DAG. Selection among
-//! equal-cost hops is by flow hash, so a flow's packets stay on one path
-//! (no reordering), which is how real ECMP behaves.
+//! [`RouteTable`] stores, for every destination, the set of shortest-path
+//! next hops at every node — the ECMP DAG. Selection among equal-cost
+//! hops is by flow hash, so a flow's packets stay on one path (no
+//! reordering), which is how real ECMP behaves.
+//!
+//! The table is kept over **forwarding nodes** only. A *leaf host* — a
+//! host with exactly one link, and that link to a switch — can never
+//! relay, so it gets no row and no column: it keeps its attach switch
+//! and access link, and queries that involve it resolve through the
+//! attach switch (the first hop from a leaf is its switch; the last hop
+//! into a leaf is its access link; in between, packets follow the attach
+//! switch's ECMP set). Switches, relaying servers (BCube, DCell,
+//! CamCube), dual-homed hosts and hosts cabled to hosts are forwarding
+//! nodes. §7's composites put thousands of hosts under a few hundred
+//! switches, so the table scales with switches², not nodes².
 
 use crate::graph::{LinkId, Network, NodeId};
 use std::collections::VecDeque;
 
-/// All-pairs next-hop table.
+/// [`Place::slot`] of a forwarding node.
+const FORWARDING: u32 = u32::MAX;
+/// [`FlatRoutes`]' slot column for a leaf host that is cut off.
+const CUT_OFF: u32 = u32::MAX - 1;
+
+/// Liveness of a leaf host's attachment.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Leaf {
+    /// Host, access link and attach switch all alive (and always, for
+    /// forwarding nodes, which do not use this field).
+    Up,
+    /// The host is alive but its access link or attach switch is dead:
+    /// it reaches only itself.
+    CutOff,
+    /// The host itself is dead.
+    Dead,
+}
+
+/// Where a node sits in the forwarding tables.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Place {
+    /// The node itself, so a one-hop answer into a leaf host can be
+    /// served as a slice.
+    id: NodeId,
+    /// Forwarding index of the node, or of a leaf host's attach switch.
+    fwd: u32,
+    /// Leaf hosts: the directed slot host → attach switch of the access
+    /// link. [`FORWARDING`] for forwarding nodes.
+    slot: u32,
+    /// Leaf hosts: attachment liveness.
+    leaf: Leaf,
+}
+
+impl Place {
+    fn is_leaf(&self) -> bool {
+        self.slot != FORWARDING
+    }
+}
+
+/// Shortest-path next-hop table over every node pair, stored over
+/// forwarding nodes (see the module docs).
 ///
 /// # Examples
 ///
@@ -27,19 +78,30 @@ use std::collections::VecDeque;
 /// let p = prototype_quartz();
 /// let table = RouteTable::all_shortest_paths(&p.net);
 /// assert_eq!(table.next_hops(p.switches[0], p.switches[3]), &[p.switches[3]]);
+/// // A host's only next hop is its switch.
+/// assert_eq!(table.next_hops(p.hosts[0], p.hosts[7]), &[p.switches[0]]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RouteTable {
-    n: usize,
-    /// `dist[dst][node]` in links; `u32::MAX` = unreachable.
-    dist: Vec<Vec<u32>>,
-    /// `next[dst][node]` = shortest-path next hops from `node` toward
-    /// `dst`.
-    next: Vec<Vec<Vec<NodeId>>>,
+    /// Per node, in id order.
+    place: Vec<Place>,
+    /// Forwarding nodes in id order; a forwarding index indexes this.
+    fwd: Vec<NodeId>,
+    /// `dist[dst * f + at]` in links between forwarding nodes;
+    /// `u32::MAX` = unreachable.
+    dist: Vec<u32>,
+    /// CSR offsets into `hops`/`slots`, `f * f + 1` entries, cell
+    /// `dst * f + at`.
+    offsets: Vec<u32>,
+    /// Concatenated ECMP sets, each in `net.neighbors(at)` order.
+    hops: Vec<NodeId>,
+    /// Directed link slot (`2 × link + direction`) of each hop.
+    slots: Vec<u32>,
 }
 
 impl RouteTable {
-    /// Builds the full ECMP table with one reverse BFS per destination.
+    /// Builds the full ECMP table with one reverse BFS per forwarding
+    /// destination.
     pub fn all_shortest_paths(net: &Network) -> Self {
         Self::degraded(net, |_| false, |_| false)
     }
@@ -54,73 +116,114 @@ impl RouteTable {
         dead_link: impl Fn(LinkId) -> bool,
         dead_node: impl Fn(NodeId) -> bool,
     ) -> Self {
-        let n = net.node_count();
-        debug_assert!(n <= u32::MAX as usize, "node ids fit u32");
-        let mut dist = Vec::with_capacity(n);
-        let mut next = Vec::with_capacity(n);
-        for d in 0..n {
-            let dst = NodeId(d as u32);
-            if dead_node(dst) {
-                // Nothing routes toward a dead destination.
-                dist.push(vec![u32::MAX; n]);
-                next.push(vec![Vec::new(); n]);
-                continue;
-            }
-            let (dv, nv) = bfs_to(net, dst, &dead_link, &dead_node);
-            dist.push(dv);
-            next.push(nv);
+        let g = FwdGraph::new(net);
+        let f = g.fwd.len();
+        let cells = f.checked_mul(f).expect("forwarding cells fit usize");
+        let mut table = RouteTable {
+            place: g.place.clone(),
+            fwd: g.fwd.clone(),
+            dist: vec![u32::MAX; cells],
+            offsets: Vec::with_capacity(cells + 1),
+            hops: Vec::new(),
+            slots: Vec::new(),
+        };
+        table.offsets.push(0);
+        let mut queue = VecDeque::with_capacity(f);
+        for (d, row) in table.dist.chunks_exact_mut(f.max(1)).enumerate() {
+            g.fill_row(
+                d,
+                &dead_link,
+                &dead_node,
+                row,
+                (&mut table.offsets, &mut table.hops, &mut table.slots),
+                &mut queue,
+            );
         }
-        RouteTable { n, dist, next }
+        table.refresh_leaves(&dead_link, &dead_node);
+        table
     }
 
     /// Builds a single-path table routed along the BFS spanning tree
     /// rooted at `root` — the behaviour of classic L2 Ethernet, where
     /// "Ethernet creates a single spanning tree … it can only utilize a
-    /// small fraction of the links in the network" (§3.4).
+    /// small fraction of the links in the network" (§3.4). The table is
+    /// `net`'s, with every link off the tree treated as dead.
     pub fn spanning_tree(net: &Network, root: NodeId) -> Self {
         let n = net.node_count();
-        // Parent pointers of the BFS tree.
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let mut in_tree = vec![false; net.link_count()];
         let mut seen = vec![false; n];
         let mut q = VecDeque::new();
         seen[root.0 as usize] = true;
         q.push_back(root);
         while let Some(u) = q.pop_front() {
-            for &(v, _) in net.neighbors(u) {
+            for &(v, l) in net.neighbors(u) {
                 if !seen[v.0 as usize] {
                     seen[v.0 as usize] = true;
-                    parent[v.0 as usize] = Some(u);
+                    in_tree[l.0 as usize] = true;
                     q.push_back(v);
                 }
             }
         }
-        // Tree adjacency.
-        let mut tree = Network::new();
-        for node in net.nodes() {
-            match node.kind {
-                crate::graph::NodeKind::Host => tree.add_host(node.rack),
-                crate::graph::NodeKind::Switch(r) => tree.add_switch(r, node.rack),
-            };
-        }
-        debug_assert!(parent.len() <= u32::MAX as usize, "node ids fit u32");
-        for (v, p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                tree.connect(NodeId(v as u32), *p, 1.0);
-            }
-        }
-        Self::all_shortest_paths(&tree)
+        Self::degraded(net, |l| !in_tree[l.0 as usize], |_| false)
+    }
+
+    /// The ECMP set between two forwarding indices.
+    fn cell(&self, at: u32, dst: u32) -> &[NodeId] {
+        let i = dst as usize * self.fwd.len() + at as usize;
+        &self.hops[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Shortest-path length in links, if reachable.
     pub fn path_len(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let d = self.dist[to.0 as usize][from.0 as usize];
-        (d != u32::MAX).then_some(d as usize)
+        let (a, d) = (self.place[from.0 as usize], self.place[to.0 as usize]);
+        let f = self.fwd.len();
+        if from == to {
+            let alive = if a.is_leaf() {
+                a.leaf != Leaf::Dead
+            } else {
+                self.dist[a.fwd as usize * f + a.fwd as usize] == 0
+            };
+            return alive.then_some(0);
+        }
+        let mut access = 0;
+        for p in [a, d] {
+            if p.is_leaf() {
+                if p.leaf != Leaf::Up {
+                    return None;
+                }
+                access += 1;
+            }
+        }
+        let core = self.dist[d.fwd as usize * f + a.fwd as usize];
+        (core != u32::MAX).then_some(core as usize + access)
     }
 
     /// The ECMP next-hop set at `at` toward `dst` (empty at `dst` itself
     /// or if unreachable).
     pub fn next_hops(&self, at: NodeId, dst: NodeId) -> &[NodeId] {
-        &self.next[dst.0 as usize][at.0 as usize]
+        if at == dst {
+            return &[];
+        }
+        let (a, d) = (&self.place[at.0 as usize], &self.place[dst.0 as usize]);
+        if d.is_leaf() && d.leaf != Leaf::Up {
+            return &[];
+        }
+        if a.is_leaf() {
+            // A leaf's only hop is its switch, when `dst` is reachable
+            // from there.
+            let reach =
+                a.leaf == Leaf::Up && (a.fwd == d.fwd || !self.cell(a.fwd, d.fwd).is_empty());
+            return if reach {
+                std::slice::from_ref(&self.fwd[a.fwd as usize])
+            } else {
+                &[]
+            };
+        }
+        if d.is_leaf() && a.fwd == d.fwd {
+            // The attach switch delivers over the access link.
+            return std::slice::from_ref(&d.id);
+        }
+        self.cell(a.fwd, d.fwd)
     }
 
     /// Deterministic ECMP selection: pick among the equal-cost next hops
@@ -149,7 +252,22 @@ impl RouteTable {
 
     /// Number of nodes in the table.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.place.len()
+    }
+
+    /// Number of forwarding nodes (the table's rows and columns).
+    pub fn forwarding_count(&self) -> usize {
+        self.fwd.len()
+    }
+
+    /// Heap bytes the table holds.
+    pub fn heap_bytes(&self) -> usize {
+        heap(&self.place)
+            + heap(&self.fwd)
+            + heap(&self.dist)
+            + heap(&self.offsets)
+            + heap(&self.hops)
+            + heap(&self.slots)
     }
 
     /// Incrementally updates the table for one topology `change`,
@@ -162,8 +280,10 @@ impl RouteTable {
     /// `debug_assert`s on every reconvergence and
     /// `incremental_patch_matches_scratch_rebuild` pins.
     ///
-    /// The affected-destination tests are exact for links and
-    /// conservative for nodes:
+    /// A change at a leaf host (its access link, or the host itself)
+    /// touches no forwarding destination: only the host's attachment
+    /// state changes. Otherwise the affected-destination tests are exact
+    /// for links and conservative for nodes:
     ///
     /// * a removed link `(a, b)` only matters for destinations whose
     ///   DAG contains it, i.e. `|dist[a] − dist[b]| == 1` (removing an
@@ -183,49 +303,124 @@ impl RouteTable {
         dead_link: impl Fn(LinkId) -> bool,
         dead_node: impl Fn(NodeId) -> bool,
     ) {
-        let n = self.n;
-        debug_assert!(n <= u32::MAX as usize, "node ids fit u32");
-        for d in 0..n {
-            let dst = NodeId(d as u32);
-            let affected = match change {
-                RouteChange::LinkDown(l) => {
-                    let link = net.link(l);
-                    let da = self.dist[d][link.a.0 as usize];
-                    let db = self.dist[d][link.b.0 as usize];
-                    da != u32::MAX && db != u32::MAX && (da == db + 1 || db == da + 1)
-                }
-                RouteChange::LinkUp(l) => {
-                    let link = net.link(l);
-                    if dead_node(link.a) || dead_node(link.b) {
-                        // A leg into a dead switch: the link stays
-                        // unusable, nothing to recompute.
-                        false
-                    } else {
-                        let da = self.dist[d][link.a.0 as usize];
-                        let db = self.dist[d][link.b.0 as usize];
-                        (da != u32::MAX && (db == u32::MAX || da < db))
-                            || (db != u32::MAX && (da == u32::MAX || db < da))
+        let f = self.fwd.len();
+        // Forwarding index of `x`, `None` for a leaf host.
+        let fwd_of = |x: NodeId| {
+            let p = self.place[x.0 as usize];
+            (!p.is_leaf()).then_some(p.fwd as usize)
+        };
+        let dist = |d: usize, x: usize| self.dist[d * f + x];
+        let affected: Vec<bool> = match change {
+            RouteChange::LinkDown(l) | RouteChange::LinkUp(l) => {
+                let link = net.link(l);
+                match (fwd_of(link.a), fwd_of(link.b)) {
+                    (Some(a), Some(b)) => {
+                        let down = matches!(change, RouteChange::LinkDown(_));
+                        // A leg into a dead switch stays unusable when
+                        // the link itself recovers: nothing to recompute.
+                        let dead_leg = dead_node(link.a) || dead_node(link.b);
+                        (0..f)
+                            .map(|d| {
+                                let (da, db) = (dist(d, a), dist(d, b));
+                                if down {
+                                    da != u32::MAX
+                                        && db != u32::MAX
+                                        && (da == db + 1 || db == da + 1)
+                                } else {
+                                    !dead_leg
+                                        && ((da != u32::MAX && (db == u32::MAX || da < db))
+                                            || (db != u32::MAX && (da == u32::MAX || db < da)))
+                                }
+                            })
+                            .collect()
                     }
+                    _ => vec![false; f],
                 }
-                RouteChange::NodeDown(x) => dst == x || self.dist[d][x.0 as usize] != u32::MAX,
-                RouteChange::NodeUp(x) => {
-                    dst == x
-                        || net.neighbors(x).iter().any(|&(v, l)| {
-                            !dead_link(l) && !dead_node(v) && self.dist[d][v.0 as usize] != u32::MAX
-                        })
-                }
-            };
-            if !affected {
+            }
+            RouteChange::NodeDown(x) => match fwd_of(x) {
+                Some(xi) => (0..f).map(|d| d == xi || dist(d, xi) != u32::MAX).collect(),
+                None => vec![false; f],
+            },
+            RouteChange::NodeUp(x) => match fwd_of(x) {
+                Some(xi) => (0..f)
+                    .map(|d| {
+                        d == xi
+                            || net.neighbors(x).iter().any(|&(v, l)| {
+                                !dead_link(l)
+                                    && !dead_node(v)
+                                    && fwd_of(v).is_some_and(|vi| dist(d, vi) != u32::MAX)
+                            })
+                    })
+                    .collect(),
+                None => vec![false; f],
+            },
+        };
+        if affected.contains(&true) {
+            self.rebuild_rows(net, &affected, &dead_link, &dead_node);
+        }
+        self.refresh_leaves(&dead_link, &dead_node);
+    }
+
+    /// Recomputes the `affected` destination rows and re-packs the CSR,
+    /// copying every other row as it stands.
+    fn rebuild_rows(
+        &mut self,
+        net: &Network,
+        affected: &[bool],
+        dead_link: &impl Fn(LinkId) -> bool,
+        dead_node: &impl Fn(NodeId) -> bool,
+    ) {
+        let g = FwdGraph::new(net);
+        debug_assert_eq!(g.fwd, self.fwd, "patch must see the table's network");
+        let f = self.fwd.len();
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut hops = Vec::with_capacity(self.hops.len());
+        let mut slots = Vec::with_capacity(self.slots.len());
+        offsets.push(0);
+        let mut queue = VecDeque::with_capacity(f);
+        for (d, row) in self.dist.chunks_exact_mut(f.max(1)).enumerate() {
+            if affected[d] {
+                g.fill_row(
+                    d,
+                    dead_link,
+                    dead_node,
+                    row,
+                    (&mut offsets, &mut hops, &mut slots),
+                    &mut queue,
+                );
                 continue;
             }
-            if dead_node(dst) {
-                self.dist[d].iter_mut().for_each(|v| *v = u32::MAX);
-                self.next[d].iter_mut().for_each(Vec::clear);
+            let cells = &self.offsets[d * f..=(d + 1) * f];
+            let (lo, hi) = (cells[0] as usize, cells[f] as usize);
+            let base = hops.len();
+            offsets.extend(
+                cells[1..]
+                    .iter()
+                    .map(|&o| csr_offset(base + o as usize - lo)),
+            );
+            hops.extend_from_slice(&self.hops[lo..hi]);
+            slots.extend_from_slice(&self.slots[lo..hi]);
+        }
+        self.offsets = offsets;
+        self.hops = hops;
+        self.slots = slots;
+    }
+
+    /// Re-derives every leaf host's attachment state from the failure
+    /// predicates.
+    fn refresh_leaves(
+        &mut self,
+        dead_link: &impl Fn(LinkId) -> bool,
+        dead_node: &impl Fn(NodeId) -> bool,
+    ) {
+        for p in self.place.iter_mut().filter(|p| p.is_leaf()) {
+            p.leaf = if dead_node(p.id) {
+                Leaf::Dead
+            } else if dead_link(LinkId(p.slot / 2)) || dead_node(self.fwd[p.fwd as usize]) {
+                Leaf::CutOff
             } else {
-                let (dv, nv) = bfs_to(net, dst, &dead_link, &dead_node);
-                self.dist[d] = dv;
-                self.next[d] = nv;
-            }
+                Leaf::Up
+            };
         }
     }
 }
@@ -243,56 +438,75 @@ pub enum RouteChange {
     NodeUp(NodeId),
 }
 
-/// [`RouteTable`] flattened for the per-hop fast path: one contiguous
-/// CSR array of `(next hop, directed link slot)` entries indexed by
-/// `dst * n + at`, so a forwarding decision is two array reads and a
-/// modulo — no nested `Vec` chasing and no adjacency search for the
-/// link (`slot = 2 × link + direction` matches the simulator's
-/// per-direction link array layout).
+/// [`RouteTable`] laid out for the per-hop fast path: the table's CSR
+/// with each next hop paired with its directed link slot (`slot = 2 ×
+/// link + direction` matches the simulator's per-direction link array
+/// layout), plus a per-node column that resolves leaf hosts. A
+/// forwarding decision is two column loads, two offset loads and one
+/// entry load — no nested `Vec` chasing and no adjacency search.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatRoutes {
-    n: usize,
-    /// CSR offsets, `n * n + 1` entries.
+    /// Per node: `(forwarding index of the node or of its attach switch,
+    /// slot)`, where slot is the host → switch access slot of a live leaf
+    /// host, [`CUT_OFF`] for a cut-off one and [`FORWARDING`] otherwise.
+    col: Vec<(u32, u32)>,
+    /// Forwarding nodes in id order.
+    fwd: Vec<NodeId>,
+    /// CSR offsets, `f * f + 1` entries, cell `dst * f + at`.
     offsets: Vec<u32>,
     /// Concatenated ECMP sets, in [`RouteTable::next_hops`] order.
     hops: Vec<(NodeId, u32)>,
 }
 
 impl FlatRoutes {
-    /// Flattens `table` over `net`, resolving every next hop to its
-    /// directed link slot once, here, instead of per packet.
+    /// Lays `table` out for forwarding over `net`. The table already
+    /// carries every hop's link slot, so this is a copy.
     ///
     /// # Panics
-    /// Panics if the table references a hop with no link in `net`.
+    /// Panics if `table` does not cover `net`'s nodes, and in debug
+    /// builds if a hop's slot is not the first link of `net` to it.
     pub fn new(table: &RouteTable, net: &Network) -> Self {
-        let n = table.n;
-        debug_assert!(n <= u32::MAX as usize, "node ids fit u32");
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut hops = Vec::new();
-        offsets.push(0);
-        for dst in 0..n {
-            for at in 0..n {
-                for &next in &table.next[dst][at] {
-                    let at_id = NodeId(at as u32);
-                    let l = net
-                        .link_between(at_id, next)
-                        .expect("route next hop must be adjacent");
-                    let dir = u32::from(net.link(l).a != at_id);
-                    hops.push((next, 2 * l.0 + dir));
-                }
-                debug_assert!(hops.len() <= u32::MAX as usize, "hop offsets fit u32");
-                offsets.push(hops.len() as u32);
-            }
+        assert_eq!(
+            table.node_count(),
+            net.node_count(),
+            "route table must cover the network"
+        );
+        debug_assert!(
+            table.offsets.windows(2).enumerate().all(|(i, cell)| {
+                let at = table.fwd[i % table.fwd.len()];
+                (cell[0] as usize..cell[1] as usize).all(|k| {
+                    net.link_between(at, table.hops[k])
+                        .map(|l| slot(net, l, at))
+                        == Some(table.slots[k])
+                })
+            }),
+            "route table was built over another network"
+        );
+        let col = table
+            .place
+            .iter()
+            .map(|p| {
+                let slot = if !p.is_leaf() {
+                    FORWARDING
+                } else if p.leaf == Leaf::Up {
+                    p.slot
+                } else {
+                    CUT_OFF
+                };
+                (p.fwd, slot)
+            })
+            .collect();
+        FlatRoutes {
+            col,
+            fwd: table.fwd.clone(),
+            offsets: table.offsets.clone(),
+            hops: table
+                .hops
+                .iter()
+                .copied()
+                .zip(table.slots.iter().copied())
+                .collect(),
         }
-        FlatRoutes { n, offsets, hops }
-    }
-
-    /// The ECMP set at `at` toward `dst` as `(next hop, directed link
-    /// slot)` entries, in the same order as [`RouteTable::next_hops`].
-    #[inline]
-    pub fn next_hops(&self, at: NodeId, dst: NodeId) -> &[(NodeId, u32)] {
-        let i = dst.0 as usize * self.n + at.0 as usize;
-        &self.hops[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Deterministic ECMP pick by flow hash — selects the same hop as
@@ -300,9 +514,27 @@ impl FlatRoutes {
     /// link slot. ECMP sets are almost always 1, 2, or 4 wide, where
     /// the modulo reduces to a mask — worth special-casing because this
     /// runs once per hop of every simulated packet.
+    // lint:hot
     #[inline]
     pub fn ecmp_next(&self, at: NodeId, dst: NodeId, flow_hash: u64) -> Option<(NodeId, u32)> {
-        let hops = self.next_hops(at, dst);
+        let (af, aslot) = self.col[at.0 as usize];
+        let (df, dslot) = self.col[dst.0 as usize];
+        if dslot == CUT_OFF {
+            return None;
+        }
+        let i = df as usize * self.fwd.len() + af as usize;
+        if aslot != FORWARDING {
+            // A leaf host's one hop is its switch, when `dst` is
+            // reachable from there.
+            let reach = af == df || self.offsets[i] != self.offsets[i + 1];
+            return (aslot != CUT_OFF && at != dst && reach)
+                .then(|| (self.fwd[af as usize], aslot));
+        }
+        if dslot != FORWARDING && af == df {
+            // The attach switch delivers over the access link.
+            return Some((dst, dslot ^ 1));
+        }
+        let hops = &self.hops[self.offsets[i] as usize..self.offsets[i + 1] as usize];
         let idx = match hops.len() {
             0 => return None,
             1 => 0,
@@ -315,56 +547,176 @@ impl FlatRoutes {
 
     /// Number of nodes covered.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.col.len()
+    }
+
+    /// Heap bytes the flattened table holds.
+    pub fn heap_bytes(&self) -> usize {
+        heap(&self.col) + heap(&self.fwd) + heap(&self.offsets) + heap(&self.hops)
     }
 }
 
-/// Reverse BFS from `dst` over the surviving graph: distances and
-/// next-hop sets toward `dst`.
-fn bfs_to(
-    net: &Network,
-    dst: NodeId,
-    dead_link: &impl Fn(LinkId) -> bool,
-    dead_node: &impl Fn(NodeId) -> bool,
-) -> (Vec<u32>, Vec<Vec<NodeId>>) {
-    let n = net.node_count();
-    let mut dist = vec![u32::MAX; n];
-    let mut q = VecDeque::new();
-    dist[dst.0 as usize] = 0;
-    q.push_back(dst);
-    while let Some(u) = q.pop_front() {
-        for &(v, l) in net.neighbors(u) {
-            if dead_link(l) || dead_node(v) {
-                continue;
+/// A CSR offset: hop counts must fit `u32`, checked in release builds
+/// too — a wrapped offset would silently route packets wrongly.
+fn csr_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("route entries overflow the u32 CSR offsets")
+}
+
+/// Bytes `v` has allocated.
+fn heap<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// The directed slot of link `l` leaving `from`.
+fn slot(net: &Network, l: LinkId, from: NodeId) -> u32 {
+    2 * l.0 + u32::from(net.link(l).a != from)
+}
+
+/// One directed edge of the forwarding graph.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    /// Forwarding index of the neighbor.
+    to: u32,
+    link: LinkId,
+    /// Directed slot of the *first* link from the tail to `to` — the
+    /// link a forwarding decision toward that neighbor takes, also when
+    /// parallel links join the pair.
+    slot: u32,
+}
+
+/// The forwarding nodes of a network, their adjacency in
+/// `net.neighbors` order, and every node's [`Place`].
+struct FwdGraph {
+    place: Vec<Place>,
+    fwd: Vec<NodeId>,
+    /// CSR offsets into `edges`, one run per forwarding node.
+    edge_off: Vec<usize>,
+    edges: Vec<Edge>,
+}
+
+impl FwdGraph {
+    fn new(net: &Network) -> Self {
+        let n = net.node_count();
+        assert!(
+            u32::try_from(2 * net.link_count()).is_ok_and(|s| s < CUT_OFF),
+            "directed link slots fit u32"
+        );
+        let attach_of = |v: NodeId| match net.neighbors(v) {
+            [(s, l)] if net.node(v).kind.is_host() && net.node(*s).kind.is_switch() => {
+                Some((*s, *l))
             }
-            if dist[v.0 as usize] == u32::MAX {
-                dist[v.0 as usize] = dist[u.0 as usize] + 1;
-                q.push_back(v);
+            _ => None,
+        };
+        let mut index = vec![u32::MAX; n];
+        let mut fwd = Vec::new();
+        for node in net.nodes() {
+            if attach_of(node.id).is_none() {
+                index[node.id.0 as usize] =
+                    u32::try_from(fwd.len()).expect("forwarding indices fit u32");
+                fwd.push(node.id);
             }
+        }
+        let place = net
+            .nodes()
+            .map(|node| match attach_of(node.id) {
+                Some((s, l)) => Place {
+                    id: node.id,
+                    fwd: index[s.0 as usize],
+                    slot: slot(net, l, node.id),
+                    leaf: Leaf::Up,
+                },
+                None => Place {
+                    id: node.id,
+                    fwd: index[node.id.0 as usize],
+                    slot: FORWARDING,
+                    leaf: Leaf::Up,
+                },
+            })
+            .collect();
+        // `first[v]` = slot of the first link from the current tail to
+        // `v`, valid while `owner[v]` names that tail.
+        let mut owner = vec![u32::MAX; n];
+        let mut first = vec![0u32; n];
+        let mut edge_off = Vec::with_capacity(fwd.len() + 1);
+        let mut edges = Vec::new();
+        edge_off.push(0);
+        for &u in &fwd {
+            for &(v, l) in net.neighbors(u) {
+                let to = index[v.0 as usize];
+                if to == u32::MAX {
+                    continue; // a leaf host: never a relay
+                }
+                let vi = v.0 as usize;
+                if owner[vi] != index[u.0 as usize] {
+                    owner[vi] = index[u.0 as usize];
+                    first[vi] = slot(net, l, u);
+                }
+                edges.push(Edge {
+                    to,
+                    link: l,
+                    slot: first[vi],
+                });
+            }
+            edge_off.push(edges.len());
+        }
+        FwdGraph {
+            place,
+            fwd,
+            edge_off,
+            edges,
         }
     }
-    let mut next = vec![Vec::new(); n];
-    debug_assert!(n <= u32::MAX as usize, "node ids fit u32");
-    for u in 0..n {
-        if dist[u] == u32::MAX || dist[u] == 0 || dead_node(NodeId(u as u32)) {
-            continue;
+
+    fn edges(&self, u: usize) -> &[Edge] {
+        &self.edges[self.edge_off[u]..self.edge_off[u + 1]]
+    }
+
+    /// Reverse BFS from forwarding destination `d` over the surviving
+    /// graph: writes the distances into `dist` and appends the row's
+    /// ECMP sets (one per forwarding `at`, in index order) to the CSR.
+    fn fill_row(
+        &self,
+        d: usize,
+        dead_link: &impl Fn(LinkId) -> bool,
+        dead_node: &impl Fn(NodeId) -> bool,
+        dist: &mut [u32],
+        (offsets, hops, slots): (&mut Vec<u32>, &mut Vec<NodeId>, &mut Vec<u32>),
+        queue: &mut VecDeque<usize>,
+    ) {
+        dist.fill(u32::MAX);
+        let live = |e: &Edge| !dead_link(e.link) && !dead_node(self.fwd[e.to as usize]);
+        if !dead_node(self.fwd[d]) {
+            dist[d] = 0;
+            queue.push_back(d);
         }
-        for &(v, l) in net.neighbors(NodeId(u as u32)) {
-            if dead_link(l) || dead_node(v) {
-                continue;
+        while let Some(u) = queue.pop_front() {
+            for e in self.edges(u).iter().filter(|e| live(e)) {
+                if dist[e.to as usize] == u32::MAX {
+                    dist[e.to as usize] = dist[u] + 1;
+                    queue.push_back(e.to as usize);
+                }
             }
-            if dist[v.0 as usize] + 1 == dist[u] {
-                next[u].push(v);
+        }
+        for (u, &du) in dist.iter().enumerate() {
+            if du != u32::MAX && du != 0 {
+                for e in self.edges(u).iter().filter(|e| live(e)) {
+                    if dist[e.to as usize].wrapping_add(1) == du {
+                        hops.push(self.fwd[e.to as usize]);
+                        slots.push(e.slot);
+                    }
+                }
             }
+            offsets.push(csr_offset(hops.len()));
         }
     }
-    (dist, next)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{prototype_quartz, prototype_two_tier, three_tier};
+    use crate::builders::{
+        bcube, prototype_quartz, prototype_two_tier, quartz_in_core, three_tier,
+    };
     use crate::graph::SwitchRole;
 
     #[test]
@@ -515,23 +867,82 @@ mod tests {
         for a in 0..n {
             for b in 0..n {
                 let (at, dst) = (NodeId(a), NodeId(b));
-                let nested = table.next_hops(at, dst);
-                let csr = flat.next_hops(at, dst);
-                assert_eq!(nested.len(), csr.len());
-                for (i, &(hop, slot)) in csr.iter().enumerate() {
-                    assert_eq!(hop, nested[i]);
-                    let l = t3.net.link_between(at, hop).unwrap();
-                    let dir = u32::from(t3.net.link(l).a != at);
-                    assert_eq!(slot, 2 * l.0 + dir);
-                }
                 for hash in [0u64, 1, 7, u64::MAX] {
-                    assert_eq!(
-                        flat.ecmp_next(at, dst, hash).map(|(h, _)| h),
-                        table.ecmp_next(at, dst, hash)
-                    );
+                    let picked = flat.ecmp_next(at, dst, hash);
+                    assert_eq!(picked.map(|(h, _)| h), table.ecmp_next(at, dst, hash));
+                    if let Some((hop, slot)) = picked {
+                        let l = t3.net.link_between(at, hop).unwrap();
+                        let dir = u32::from(t3.net.link(l).a != at);
+                        assert_eq!(slot, 2 * l.0 + dir);
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn leaf_hosts_collapse_onto_their_switch() {
+        // Three-tier hosts hang off one ToR each: only switches keep rows.
+        let t3 = three_tier(3, 2, 2, 2, 10.0, 40.0);
+        let table = RouteTable::all_shortest_paths(&t3.net);
+        assert_eq!(table.forwarding_count(), t3.net.switches().len());
+        // BCube servers relay, so every node keeps its row there.
+        let b = bcube(2, 1, 10.0);
+        let table = RouteTable::all_shortest_paths(&b.net);
+        assert_eq!(table.forwarding_count(), b.net.node_count());
+    }
+
+    #[test]
+    fn quartz_in_core_routes_match_closed_form() {
+        // §7 Quartz in the core: host→host is 2 links under one ToR, 4
+        // within a pod (via either aggregation switch) and 6 across pods
+        // (ToR → 2 aggs → m core switches → agg → ToR).
+        let (t, p, h, m) = (4, 3, 2, 5);
+        let c = quartz_in_core(t, p, h, m);
+        let table = RouteTable::all_shortest_paths(&c.net);
+        let tor_of = |i: usize| i / h;
+        let pod_of = |i: usize| i / (t * h);
+        for (i, &a) in c.hosts.iter().enumerate() {
+            for (j, &b) in c.hosts.iter().enumerate() {
+                let want = if i == j {
+                    0
+                } else if tor_of(i) == tor_of(j) {
+                    2
+                } else if pod_of(i) == pod_of(j) {
+                    4
+                } else {
+                    6
+                };
+                assert_eq!(table.path_len(a, b), Some(want), "{a} -> {b}");
+            }
+        }
+        let (tor, far_host) = (c.edges[0], *c.hosts.last().unwrap());
+        let aggs = table.next_hops(tor, far_host);
+        assert_eq!(aggs.len(), 2);
+        for &agg in aggs {
+            assert_eq!(table.next_hops(agg, far_host), &c.uppers[..]);
+        }
+    }
+
+    #[test]
+    fn quartz_in_core_route_entries_are_pinned() {
+        // The composite benchmark's `topology.route_entries`: Σ of ECMP
+        // set sizes over all node pairs of quartz_in_core(16, 16, 8, 8).
+        let c = quartz_in_core(16, 16, 8, 8);
+        let table = RouteTable::all_shortest_paths(&c.net);
+        let n = c.net.node_count() as u32;
+        let entries: usize = (0..n)
+            .flat_map(|a| (0..n).map(move |b| (NodeId(a), NodeId(b))))
+            .map(|(a, b)| table.next_hops(a, b).len())
+            .sum();
+        assert_eq!(entries, 6_598_968);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the u32 CSR offsets")]
+    fn csr_offsets_refuse_to_wrap() {
+        assert_eq!(csr_offset(u32::MAX as usize), u32::MAX);
+        csr_offset(u32::MAX as usize + 1);
     }
 
     /// Drives `patch` through a fault/recovery script and cross-checks
