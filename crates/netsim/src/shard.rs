@@ -433,8 +433,19 @@ impl DomainSim {
         self.gen_n[flow_idx] = n + 1;
         debug_assert!(flow_idx < (1 << 29), "flow ids fit the key layout");
         let flow = flow_idx as u32;
-        self.wheel
-            .push_at_seq(at, gen_key(flow, n), DEv::Gen { flow, n });
+        self.schedule(at, gen_key(flow, n), DEv::Gen { flow, n });
+    }
+
+    /// Queues `ev` at its canonical `(time, key)`. Every event of the
+    /// domain goes through here; none may land before `now`.
+    #[inline]
+    fn schedule(&mut self, at: SimTime, key: u64, ev: DEv) {
+        debug_assert!(
+            at >= self.now,
+            "event at {at:?} scheduled before now {:?}",
+            self.now
+        );
+        self.wheel.push_at_seq(at, key, ev);
     }
 
     /// Earliest pending event time in this domain, if any.
@@ -668,7 +679,7 @@ impl DomainSim {
                     let seq = self.rto_emit[flow_idx];
                     debug_assert!(seq < u32::MAX, "timer counter fits u32");
                     self.rto_emit[flow_idx] = seq + 1;
-                    self.wheel.push_at_seq(
+                    self.schedule(
                         at,
                         rto_key(flow, seq),
                         DEv::Rto {
@@ -783,7 +794,7 @@ impl DomainSim {
         self.vcoin[i] = m.vcoin;
         self.vpick[i] = m.vpick;
         self.vspray[i] = m.vspray;
-        self.wheel.push_at_seq(
+        self.schedule(
             m.arr_head,
             HEAD_RANK | m.key_lo,
             DEv::Head {
@@ -1117,7 +1128,7 @@ impl DomainSim {
             self.arena.free(id);
             return;
         }
-        self.wheel.push_at_seq(
+        self.schedule(
             arr_head,
             HEAD_RANK | self.pkey[i],
             DEv::Head {

@@ -281,14 +281,6 @@ impl EventQueue {
     }
 
     #[inline]
-    fn push(&mut self, time: SimTime, kind: EvKind) {
-        match self {
-            EventQueue::Wheel(w) => w.push(time, kind),
-            EventQueue::Heap(h) => h.push(time, kind),
-        }
-    }
-
-    #[inline]
     fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, EvKind)> {
         match self {
             EventQueue::Wheel(w) => w.pop_before(bound),
@@ -772,7 +764,21 @@ impl Simulator {
     /// container growth.)
     #[inline]
     fn schedule(&mut self, time: SimTime, kind: EvKind) {
-        self.events.push(time, kind);
+        let seq = self.events.reserve_seq();
+        self.schedule_at_seq(time, seq, kind);
+    }
+
+    /// [`Simulator::schedule`] at a reserved `(time, seq)` key (the
+    /// batched link drain's sentinels). Every event goes through here;
+    /// none may land before `now`.
+    #[inline]
+    fn schedule_at_seq(&mut self, time: SimTime, seq: u64, kind: EvKind) {
+        debug_assert!(
+            time >= self.now,
+            "event at {time:?} scheduled before now {:?}",
+            self.now
+        );
+        self.events.push_at_seq(time, seq, kind);
     }
 
     /// Runs the simulation until `until` (events after it stay queued).
@@ -873,8 +879,7 @@ impl Simulator {
             // first pending arrival.
             let defer = head > bound || self.events.peek_key().is_some_and(|k| k < (head, seq));
             if defer {
-                self.events
-                    .push_at_seq(head, seq, EvKind::LinkDrain { slot });
+                self.schedule_at_seq(head, seq, EvKind::LinkDrain { slot });
                 return;
             }
             self.link_q[slot as usize].pop_front();
@@ -886,7 +891,7 @@ impl Simulator {
                 // One arrival per dispatch: re-arm for the rest.
                 if let Some(&next) = self.link_q[slot as usize].front() {
                     let j = next as usize;
-                    self.events.push_at_seq(
+                    self.schedule_at_seq(
                         self.arena.arr_head[j],
                         self.arena.arr_seq[j],
                         EvKind::LinkDrain { slot },
@@ -1569,8 +1574,7 @@ impl Simulator {
                     self.arena.arr_seq[i] = seq;
                     self.link_q[slot as usize].push_back(id);
                     if q_was_empty {
-                        self.events
-                            .push_at_seq(arr_head, seq, EvKind::LinkDrain { slot });
+                        self.schedule_at_seq(arr_head, seq, EvKind::LinkDrain { slot });
                     }
                 }
             }
@@ -2683,6 +2687,59 @@ mod tests {
         assert_eq!(st.mean_hops(0), 3.0, "direct mesh path is 3 links");
         assert_eq!(st.mean_hops(1), 4.0, "the detour adds exactly one hop");
         assert_eq!(st.hop_distribution(0), vec![(3, st.count(0))]);
+    }
+
+    #[test]
+    fn cut_first_parallel_link_reconverges_onto_the_surviving_one() {
+        // Two links join each leaf–spine pair. Every ECMP entry toward
+        // the spine names the first link while it is up; once it is cut
+        // and routes reconverge, the entries must take the parallel
+        // link, not forward onto the dead one.
+        use quartz_obs::{DropReason, Event, MemoryRecorder};
+        use quartz_topology::builders::leaf_spine;
+
+        let ls = leaf_spine(2, 1, 2, 2, 10.0);
+        let mut sim = Simulator::new(
+            ls.net.clone(),
+            SimConfig {
+                reconvergence_ns: Some(1_000),
+                ..no_prop_cfg()
+            },
+        );
+        sim.set_recorder(Box::new(MemoryRecorder::new()));
+        let cut_at = SimTime::from_us(200);
+        let settled = cut_at + 2_000;
+        for (i, (&src, &dst)) in ls.hosts[..2].iter().zip(&ls.hosts[2..]).enumerate() {
+            for (src, dst) in [(src, dst), (dst, src)] {
+                sim.add_flow(
+                    src,
+                    dst,
+                    400,
+                    FlowKind::Poisson {
+                        mean_gap_ns: 2_000.0,
+                        stop: SimTime::from_us(600),
+                        respond: false,
+                    },
+                    0,
+                    SimTime::from_ns(i as u64 * 100),
+                );
+            }
+        }
+        let first = ls.net.link_between(ls.leaves[0], ls.spines[0]).unwrap();
+        sim.fail_link_at(first, cut_at);
+        sim.run(SimTime::from_ms(2));
+        let events = sim.take_recorder().unwrap().finish();
+        let dead_link_drops = |after: SimTime| {
+            events
+                .iter()
+                .filter(|e| {
+                    matches!(e, Event::Drop { t_ns, reason: DropReason::DeadLink, .. }
+                        if *t_ns >= after.ns())
+                })
+                .count()
+        };
+        assert_eq!(dead_link_drops(settled), 0, "forwarded onto the cut link");
+        assert!(sim.stats().count(0) > 500, "traffic kept flowing");
     }
 
     /// The incremental-reroute invariant, pinned on the paper's

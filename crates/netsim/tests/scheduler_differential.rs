@@ -5,7 +5,8 @@
 //!
 //! * **Scheduler-level**: seeded random event streams — equal-timestamp
 //!   bursts, beyond-horizon times, mid-drain pushes back into the
-//!   draining bucket — must drain through [`TimingWheel`] and
+//!   draining bucket, far events on the exact edges of the wheel's
+//!   horizon — must drain through [`TimingWheel`] and
 //!   [`BinaryHeapScheduler`] in the same order. The streams fan out
 //!   over a [`ThreadPool`] pinned at 1, 2, and 8 workers, because the
 //!   determinism contract is "bit-identical at any `--jobs`": each
@@ -16,7 +17,10 @@
 //!   [`SchedulerKind::TimingWheel`] and [`SchedulerKind::BinaryHeap`].
 
 use quartz_core::ThreadPool;
-use quartz_netsim::sched::{BinaryHeapScheduler, Scheduler, SchedulerKind, TimingWheel};
+use quartz_netsim::sched::{
+    BinaryHeapScheduler, Scheduler, SchedulerKind, TimingWheel, GRANULARITY, GRANULARITY_LOG2,
+    NUM_BUCKETS,
+};
 use quartz_netsim::{FlowKind, SimConfig, SimTime, Simulator, VlbConfig};
 use quartz_topology::builders::quartz_mesh;
 
@@ -82,6 +86,55 @@ fn seeded_streams_drain_identically_at_any_worker_count() {
             baseline, fanned,
             "scheduler transcripts must not depend on --jobs (workers={workers})"
         );
+    }
+}
+
+/// Drains a stream whose far events sit on the exact edges of the
+/// wheel's horizon through both engines; panics on any divergence.
+/// Every pop at `t` re-pushes relative to the horizon of `t`'s slot —
+/// the last near nanosecond, the first and last nanoseconds of the
+/// horizon slot itself, and one revolution beyond — so migrations and
+/// cursor jumps land exactly on bucket reuse.
+fn drain_boundary_stream(seed: u64) -> usize {
+    let g = GRANULARITY;
+    let span = NUM_BUCKETS as u64 * g;
+    let mut wheel = TimingWheel::new();
+    let mut heap = BinaryHeapScheduler::new();
+    let mut rng = Lcg(seed.wrapping_add(0xB0B));
+    let edges = [0, 1, g - 1, g, span - g, span - 1];
+    for i in 0..300u32 {
+        let t = (rng.next() % 6) * span + edges[(rng.next() % 6) as usize];
+        wheel.push(SimTime::from_ns(t), i);
+        heap.push(SimTime::from_ns(t), i);
+    }
+    let (mut tag, mut pops) = (300u32, 0);
+    loop {
+        let w = wheel.pop();
+        assert_eq!(w, heap.pop(), "engines diverged (seed {seed})");
+        let Some((t, _)) = w else { break };
+        pops += 1;
+        if tag < 1_500 {
+            let horizon = (t.wheel_slot(GRANULARITY_LOG2) + NUM_BUCKETS as u64) * g;
+            let at = match rng.next() % 5 {
+                0 => horizon - 1,
+                1 => horizon,
+                2 => horizon + g - 1,
+                3 => horizon + span,
+                _ => t.ns(),
+            };
+            wheel.push(SimTime::from_ns(at), tag);
+            heap.push(SimTime::from_ns(at), tag);
+            tag += 1;
+        }
+    }
+    assert!(wheel.is_empty() && heap.is_empty());
+    pops
+}
+
+#[test]
+fn horizon_boundary_streams_drain_identically() {
+    for seed in 0..16 {
+        assert_eq!(drain_boundary_stream(seed), 1_500);
     }
 }
 

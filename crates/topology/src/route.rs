@@ -287,11 +287,15 @@ impl RouteTable {
     ///
     /// * a removed link `(a, b)` only matters for destinations whose
     ///   DAG contains it, i.e. `|dist[a] − dist[b]| == 1` (removing an
-    ///   edge on no shortest path changes no distance);
+    ///   edge on no shortest path changes no distance). Those are also
+    ///   exactly the rows whose ECMP sets carry the link's slot, so when
+    ///   the cut link is the first of parallel links, every entry that
+    ///   named it moves onto a surviving parallel link's own slot;
     /// * a restored link only matters where it shortens a distance or
     ///   adds an equal-cost edge: `dist[a] + 1 <= dist[b]` (or the
     ///   mirror), including the `==` case that only widens the ECMP
-    ///   set;
+    ///   set — and the rows that moved off it as a cut first parallel
+    ///   link, which move back;
     /// * a removed node matters for destinations it could reach (it is
     ///   on no path toward any other destination);
     /// * a restored node matters for destinations any of its live
@@ -464,7 +468,8 @@ impl FlatRoutes {
     ///
     /// # Panics
     /// Panics if `table` does not cover `net`'s nodes, and in debug
-    /// builds if a hop's slot is not the first link of `net` to it.
+    /// builds if a hop's slot is not a link of `net` from the node to
+    /// that hop.
     pub fn new(table: &RouteTable, net: &Network) -> Self {
         assert_eq!(
             table.node_count(),
@@ -475,9 +480,16 @@ impl FlatRoutes {
             table.offsets.windows(2).enumerate().all(|(i, cell)| {
                 let at = table.fwd[i % table.fwd.len()];
                 (cell[0] as usize..cell[1] as usize).all(|k| {
-                    net.link_between(at, table.hops[k])
-                        .map(|l| slot(net, l, at))
-                        == Some(table.slots[k])
+                    let l = LinkId(table.slots[k] / 2);
+                    (l.0 as usize) < net.link_count() && {
+                        let link = net.link(l);
+                        let ends = if table.slots[k] & 1 == 0 {
+                            (link.a, link.b)
+                        } else {
+                            (link.b, link.a)
+                        };
+                        ends == (at, table.hops[k])
+                    }
                 })
             }),
             "route table was built over another network"
@@ -579,9 +591,13 @@ struct Edge {
     to: u32,
     link: LinkId,
     /// Directed slot of the *first* link from the tail to `to` — the
-    /// link a forwarding decision toward that neighbor takes, also when
-    /// parallel links join the pair.
-    slot: u32,
+    /// link a forwarding decision toward that neighbor takes while it
+    /// is up, also when parallel links join the pair.
+    first: u32,
+    /// Directed slot of `link` itself: taken instead of `first` once
+    /// the first link is dead, so a reconverged table never forwards
+    /// onto a cut link while a parallel one is alive.
+    own: u32,
 }
 
 /// The forwarding nodes of a network, their adjacency in
@@ -654,7 +670,8 @@ impl FwdGraph {
                 edges.push(Edge {
                     to,
                     link: l,
-                    slot: first[vi],
+                    first: first[vi],
+                    own: slot(net, l, u),
                 });
             }
             edge_off.push(edges.len());
@@ -702,7 +719,10 @@ impl FwdGraph {
                 for e in self.edges(u).iter().filter(|e| live(e)) {
                     if dist[e.to as usize].wrapping_add(1) == du {
                         hops.push(self.fwd[e.to as usize]);
-                        slots.push(e.slot);
+                        // `e` is live, so `own` always is; `first` only
+                        // while no fault has cut it.
+                        let first_dead = dead_link(LinkId(e.first / 2));
+                        slots.push(if first_dead { e.own } else { e.first });
                     }
                 }
             }

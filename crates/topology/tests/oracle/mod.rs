@@ -13,6 +13,9 @@ pub struct AllPairs {
     /// `next[dst][node]` = shortest-path next hops from `node` toward
     /// `dst`, in `net.neighbors(node)` order.
     next: Vec<Vec<Vec<NodeId>>>,
+    /// `links[dst][node][i]` = the link entry `next[dst][node][i]`
+    /// came from (one entry per live parallel link).
+    links: Vec<Vec<Vec<LinkId>>>,
 }
 
 impl AllPairs {
@@ -26,18 +29,21 @@ impl AllPairs {
         let n = net.node_count();
         let mut dist = Vec::with_capacity(n);
         let mut next = Vec::with_capacity(n);
+        let mut links = Vec::with_capacity(n);
         for d in 0..n {
             let dst = NodeId(d as u32);
             if dead_node(dst) {
                 dist.push(vec![u32::MAX; n]);
                 next.push(vec![Vec::new(); n]);
+                links.push(vec![Vec::new(); n]);
                 continue;
             }
-            let (dv, nv) = bfs_to(net, dst, &dead_link, &dead_node);
+            let (dv, nv, lv) = bfs_to(net, dst, &dead_link, &dead_node);
             dist.push(dv);
             next.push(nv);
+            links.push(lv);
         }
-        AllPairs { dist, next }
+        AllPairs { dist, next, links }
     }
 
     /// Shortest-path length in links, if reachable.
@@ -51,10 +57,13 @@ impl AllPairs {
         &self.next[dst.0 as usize][at.0 as usize]
     }
 
-    /// Hop `flow_hash mod |set|` of the ECMP set.
-    pub fn ecmp_next(&self, at: NodeId, dst: NodeId, flow_hash: u64) -> Option<NodeId> {
+    /// Entry `flow_hash mod |set|` of the ECMP set: the hop and the
+    /// live link it was found over.
+    pub fn ecmp_entry(&self, at: NodeId, dst: NodeId, flow_hash: u64) -> Option<(NodeId, LinkId)> {
         let hops = self.next_hops(at, dst);
-        (!hops.is_empty()).then(|| hops[(flow_hash % hops.len() as u64) as usize])
+        let links = &self.links[dst.0 as usize][at.0 as usize];
+        let i = (flow_hash % hops.len().max(1) as u64) as usize;
+        (!hops.is_empty()).then(|| (hops[i], links[i]))
     }
 
     /// One shortest path following ECMP choice 0, both ends included.
@@ -76,7 +85,7 @@ fn bfs_to(
     dst: NodeId,
     dead_link: &impl Fn(LinkId) -> bool,
     dead_node: &impl Fn(NodeId) -> bool,
-) -> (Vec<u32>, Vec<Vec<NodeId>>) {
+) -> (Vec<u32>, Vec<Vec<NodeId>>, Vec<Vec<LinkId>>) {
     let n = net.node_count();
     let mut dist = vec![u32::MAX; n];
     let mut q = VecDeque::new();
@@ -94,6 +103,7 @@ fn bfs_to(
         }
     }
     let mut next = vec![Vec::new(); n];
+    let mut links = vec![Vec::new(); n];
     for u in 0..n {
         if dist[u] == u32::MAX || dist[u] == 0 || dead_node(NodeId(u as u32)) {
             continue;
@@ -104,10 +114,11 @@ fn bfs_to(
             }
             if dist[v.0 as usize] + 1 == dist[u] {
                 next[u].push(v);
+                links[u].push(l);
             }
         }
     }
-    (dist, next)
+    (dist, next, links)
 }
 
 /// The BFS spanning tree of `net` rooted at `root` as a network of its
